@@ -9,8 +9,9 @@
 
 #include "apps/stencil/stencil_cx.hpp"
 #include "bench_common.hpp"
+#include "util/main_guard.hpp"
 
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   cxu::Options opt(argc, argv);
   const int iters = static_cast<int>(opt.get_int("iters", 120));
   const int pes = static_cast<int>(opt.get_int("pes", 32));
@@ -54,4 +55,8 @@ int main(int argc, char** argv) {
       "preserves the grouping and only pays migration cost. refine moves\n"
       "too few chares to mix phases.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cxu::guarded_main(argc, argv, run_main);
 }

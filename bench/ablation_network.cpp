@@ -12,8 +12,9 @@
 #include "apps/stencil/stencil_cx.hpp"
 #include "apps/stencil/stencil_mpi.hpp"
 #include "bench_common.hpp"
+#include "util/main_guard.hpp"
 
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   cxu::Options opt(argc, argv);
   const int pes = static_cast<int>(opt.get_int("pes", 4096));
   const int iters = static_cast<int>(opt.get_int("iters", 10));
@@ -76,4 +77,8 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("\nexpected: ratios stay in a narrow band across models.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cxu::guarded_main(argc, argv, run_main);
 }

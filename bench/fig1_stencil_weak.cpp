@@ -16,8 +16,9 @@
 #include "apps/stencil/stencil_cx.hpp"
 #include "apps/stencil/stencil_mpi.hpp"
 #include "bench_common.hpp"
+#include "util/main_guard.hpp"
 
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   cxu::Options opt(argc, argv);
   bench::trace_from_options(opt);
   const int iters = static_cast<int>(opt.get_int("iters", 12));
@@ -81,4 +82,8 @@ int main(int argc, char** argv) {
       "cpy within ~6%% of cx; mpi between them.\n");
   bench::trace_report();  // covers the last (largest) cpy sweep point
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cxu::guarded_main(argc, argv, run_main);
 }

@@ -10,8 +10,9 @@
 #include "apps/stencil/stencil_cx.hpp"
 #include "apps/stencil/stencil_mpi.hpp"
 #include "bench_common.hpp"
+#include "util/main_guard.hpp"
 
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   cxu::Options opt(argc, argv);
   const int grid = static_cast<int>(opt.get_int("grid", 256));
   const int iters = static_cast<int>(opt.get_int("iters", 12));
@@ -73,4 +74,8 @@ int main(int argc, char** argv) {
       "\nexpected shape (paper fig. 2): ~linear strong scaling (speedup\n"
       "~16x at 128 cores); the three series overlap.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cxu::guarded_main(argc, argv, run_main);
 }

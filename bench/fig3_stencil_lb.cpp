@@ -14,8 +14,9 @@
 #include "apps/stencil/stencil_cx.hpp"
 #include "apps/stencil/stencil_mpi.hpp"
 #include "bench_common.hpp"
+#include "util/main_guard.hpp"
 
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   cxu::Options opt(argc, argv);
   const int iters = static_cast<int>(opt.get_int("iters", 150));
   const int grid = static_cast<int>(opt.get_int("grid", 128));
@@ -80,4 +81,8 @@ int main(int argc, char** argv) {
       "\nexpected shape (paper fig. 3): no-lb series similar across all\n"
       "three; lb series ~2x faster (paper: 1.9x-2.27x).\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cxu::guarded_main(argc, argv, run_main);
 }

@@ -15,8 +15,9 @@
 #include "apps/leanmd/leanmd_cpy.hpp"
 #include "apps/leanmd/leanmd_cx.hpp"
 #include "bench_common.hpp"
+#include "util/main_guard.hpp"
 
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   cxu::Options opt(argc, argv);
   bench::trace_from_options(opt);
   const int cells = static_cast<int>(opt.get_int("cells", 20));
@@ -75,4 +76,8 @@ int main(int argc, char** argv) {
       "~20%% of cx, a larger gap than stencil3d (fine-grained chares).\n");
   bench::trace_report();  // covers the last (largest) cpy sweep point
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cxu::guarded_main(argc, argv, run_main);
 }

@@ -20,6 +20,7 @@
 #include "apps/stencil/stencil_cx.hpp"
 #include "bench_common.hpp"
 #include "ft/ft.hpp"
+#include "util/main_guard.hpp"
 
 namespace {
 
@@ -77,7 +78,7 @@ cx::ft::ScriptedFault at(double frac, int pe, cx::ft::FailureKind kind) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   cxu::Options opt(argc, argv);
   const auto seed = static_cast<std::uint64_t>(opt.get_int("seed", 11));
   const int iters = static_cast<int>(opt.get_int("iters", 10));
@@ -161,4 +162,8 @@ int main(int argc, char** argv) {
         "schedules are detected by the injector, so the column is 0).\n");
   }
   return all_ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return cxu::guarded_main(argc, argv, run_main);
 }

@@ -11,6 +11,7 @@
 
 #include "bench_common.hpp"
 #include "core/charm.hpp"
+#include "util/main_guard.hpp"
 
 namespace {
 
@@ -84,7 +85,7 @@ double time_dynamic(int pe, int messages) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   cxu::Options opt(argc, argv);
   const int messages = static_cast<int>(opt.get_int("messages", 30000));
 
@@ -103,4 +104,8 @@ int main(int argc, char** argv) {
       "\nThe dynamic/typed gap is the C++ rendering of the CharmPy/Charm++\n"
       "per-message overhead; figure benches charge the measured value.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cxu::guarded_main(argc, argv, run_main);
 }

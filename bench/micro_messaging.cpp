@@ -41,6 +41,7 @@
 #include "bench_common.hpp"
 #include "core/charm.hpp"
 #include "trace/trace.hpp"
+#include "util/main_guard.hpp"
 #include "wire/agg.hpp"
 #include "wire/pool.hpp"
 
@@ -400,7 +401,7 @@ int run_agg_mode(int messages, const std::string& json) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   cxu::Options opt(argc, argv);
   bench::trace_from_options(opt);
   const int messages = static_cast<int>(opt.get_int("messages", 1000));
@@ -432,4 +433,8 @@ int main(int argc, char** argv) {
       "optimization targets.\n");
   bench::trace_report();  // covers the last run (64k-double serialized)
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cxu::guarded_main(argc, argv, run_main);
 }

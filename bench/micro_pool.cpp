@@ -28,6 +28,7 @@
 
 #include "bench_common.hpp"
 #include "pool/pool.hpp"
+#include "util/main_guard.hpp"
 
 namespace {
 
@@ -104,7 +105,7 @@ void json_case(std::FILE* f, const char* name, const CaseResult& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   // Declared booleans never swallow a following positional, so
   // `micro_pool --pool-steal 100000` keeps its task count.
   cxu::Options opt(argc, argv, {"pool-steal", "trace"});
@@ -192,4 +193,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cxu::guarded_main(argc, argv, run_main);
 }

@@ -9,6 +9,7 @@
 
 #include "bench_common.hpp"
 #include "core/charm.hpp"
+#include "util/main_guard.hpp"
 
 namespace {
 
@@ -55,7 +56,7 @@ double time_reductions(int elements, int rounds, bool vec) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   cxu::Options opt(argc, argv);
   const int rounds = static_cast<int>(opt.get_int("rounds", 100));
 
@@ -71,4 +72,8 @@ int main(int argc, char** argv) {
   }
   table.print();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cxu::guarded_main(argc, argv, run_main);
 }

@@ -29,6 +29,7 @@
 #include "core/charm.hpp"
 #include "core/spantree.hpp"
 #include "trace/trace.hpp"
+#include "util/main_guard.hpp"
 
 namespace {
 
@@ -98,7 +99,7 @@ ModeResult run_mode(bool section_mode, int pes, int elements, int stride,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   cxu::Options opt(argc, argv);
   const int pes = static_cast<int>(opt.get_int("pes", 64));
   const int elements = static_cast<int>(opt.get_int("elements", 64));
@@ -162,4 +163,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cxu::guarded_main(argc, argv, run_main);
 }

@@ -21,6 +21,7 @@
 #include "bench_common.hpp"
 #include "core/when.hpp"
 #include "model/cpy.hpp"
+#include "util/main_guard.hpp"
 
 namespace {
 
@@ -109,7 +110,7 @@ DrainResult run_drain(int pending, bool engine) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   cxu::Options opt(argc, argv);
   const int pending = static_cast<int>(opt.get_int("pending", 10000));
   const std::string json = opt.get_string("json", "");
@@ -174,4 +175,8 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", json.c_str());
   }
   return all_ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return cxu::guarded_main(argc, argv, run_main);
 }

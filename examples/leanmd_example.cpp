@@ -10,9 +10,10 @@
 #include "apps/leanmd/leanmd_common.hpp"
 #include "apps/leanmd/leanmd_cpy.hpp"
 #include "apps/leanmd/leanmd_cx.hpp"
+#include "util/main_guard.hpp"
 #include "util/options.hpp"
 
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   cxu::Options opt(argc, argv);
   leanmd::PhysParams p;
   if (std::sscanf(opt.get_string("cells", "3,3,3").c_str(), "%d,%d,%d",
@@ -61,4 +62,8 @@ int main(int argc, char** argv) {
   std::printf("  momentum     (%.3g, %.3g, %.3g)\n", r.momentum[0],
               r.momentum[1], r.momentum[2]);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cxu::guarded_main(argc, argv, run_main);
 }

@@ -16,12 +16,13 @@
 
 #include "pool/pool.hpp"
 #include "trace/trace.hpp"
+#include "util/main_guard.hpp"
 #include "util/options.hpp"
 
 using cpy::List;
 using cpy::Value;
 
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   cxu::Options opt(argc, argv);
   cx::trace::configure_from_options(opt);  // --trace [--trace-out=...]
   cx::RuntimeConfig cfg;
@@ -65,4 +66,8 @@ int main(int argc, char** argv) {
   });
   cx::trace::report_if_enabled();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cxu::guarded_main(argc, argv, run_main);
 }

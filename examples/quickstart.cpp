@@ -8,6 +8,7 @@
 
 #include "core/charm.hpp"
 #include "model/cpy.hpp"
+#include "util/main_guard.hpp"
 #include "util/options.hpp"
 
 namespace {
@@ -83,7 +84,7 @@ void dynamic_demo() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   cxu::Options opt(argc, argv);
   cx::RuntimeConfig cfg;
   cfg.machine.num_pes = static_cast<int>(opt.get_int("pes", 4));
@@ -101,4 +102,8 @@ int main(int argc, char** argv) {
     cx::exit();
   });
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cxu::guarded_main(argc, argv, run_main);
 }

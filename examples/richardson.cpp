@@ -32,6 +32,7 @@
 #include "core/charm.hpp"
 #include "core/spantree.hpp"
 #include "trace/trace.hpp"
+#include "util/main_guard.hpp"
 #include "util/options.hpp"
 
 namespace {
@@ -103,7 +104,7 @@ const Registrar registrar;
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   cxu::Options opt(argc, argv);
   cx::RuntimeConfig cfg;
   cfg.machine.num_pes = static_cast<int>(opt.get_int("pes", 4));
@@ -179,4 +180,8 @@ int main(int argc, char** argv) {
   }
   std::printf("richardson: converged\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cxu::guarded_main(argc, argv, run_main);
 }

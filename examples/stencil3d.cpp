@@ -17,6 +17,7 @@
 #include "apps/stencil/stencil_mpi.hpp"
 #include "ft/fault.hpp"
 #include "trace/trace.hpp"
+#include "util/main_guard.hpp"
 #include "util/options.hpp"
 #include "wire/pool.hpp"
 
@@ -31,7 +32,7 @@ void parse_triplet(const std::string& s, int& a, int& b, int& c) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   cxu::Options opt(argc, argv);
   cx::trace::configure_from_options(opt);  // --trace [--trace-out=...]
   cx::wire::configure_from_options(opt);   // --wire-pool=on|off
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
                         ? cxm::Backend::Sim
                         : cxm::Backend::Threaded;
   // Fault injection / reliable delivery (cx::ft): --ft-drop, --ft-dup,
-  // --ft-delay, --ft-seed, --ft-crash-pe/--ft-crash-at, ...
+  // --ft-delay, --ft-seed, --ft-script=crash:<pe>@<t>, ...
   machine.faults = cx::ft::fault_config_from_options(opt);
   p.ckpt_every =
       static_cast<int>(opt.get_int("ft-checkpoint-every", 0));
@@ -96,4 +97,8 @@ int main(int argc, char** argv) {
   }
   cx::trace::report_if_enabled();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cxu::guarded_main(argc, argv, run_main);
 }

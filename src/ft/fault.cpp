@@ -20,10 +20,7 @@ const char* failure_kind_name(FailureKind k) noexcept {
 }
 
 std::vector<ScriptedFault> FaultConfig::full_script() const {
-  std::vector<ScriptedFault> out;
-  if (crash_pe >= 0) out.push_back({crash_pe, crash_at, FailureKind::Crashed});
-  if (hang_pe >= 0) out.push_back({hang_pe, hang_at, FailureKind::Hung});
-  out.insert(out.end(), script.begin(), script.end());
+  std::vector<ScriptedFault> out = script;
   std::stable_sort(out.begin(), out.end(),
                    [](const ScriptedFault& a, const ScriptedFault& b) {
                      return a.at < b.at;
@@ -69,6 +66,14 @@ std::vector<ScriptedFault> parse_fault_script(const std::string& spec) {
 }
 
 FaultConfig fault_config_from_options(const cxu::Options& opt) {
+  for (const char* retired :
+       {"ft-crash-pe", "ft-crash-at", "ft-hang-pe", "ft-hang-at"}) {
+    if (opt.has(retired)) {
+      throw std::invalid_argument(
+          std::string("--") + retired +
+          " was retired: use --ft-script crash:<pe>@<t> or hang:<pe>@<t>");
+    }
+  }
   FaultConfig cfg;
   cfg.seed = opt.get_seed("ft-seed", cfg.seed);
   cfg.drop = opt.get_prob("ft-drop", cfg.drop);
@@ -93,10 +98,6 @@ FaultConfig fault_config_from_options(const cxu::Options& opt) {
                                     cfg.hb_threshold);
   cfg.auto_recover = opt.get_bool("ft-auto-recover", cfg.auto_recover);
   cfg.settle_s = opt.get_double("ft-settle-ms", cfg.settle_s * 1e3) * 1e-3;
-  cfg.crash_pe = static_cast<int>(opt.get_int("ft-crash-pe", cfg.crash_pe));
-  cfg.crash_at = opt.get_double("ft-crash-at", cfg.crash_at);
-  cfg.hang_pe = static_cast<int>(opt.get_int("ft-hang-pe", cfg.hang_pe));
-  cfg.hang_at = opt.get_double("ft-hang-at", cfg.hang_at);
   const std::string script = opt.get_string("ft-script", "");
   if (!script.empty()) cfg.script = parse_fault_script(script);
   return cfg;

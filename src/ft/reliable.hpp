@@ -10,8 +10,8 @@
 //
 // This header holds only the passive state (windows, dedup trackers,
 // pending-copy records); the timer mechanics live in each backend
-// (DES timer events in SimMachine, cv wait deadlines in
-// ThreadedMachine) because they are fundamentally clock-specific.
+// (DES timer events in SimMachine, cv wait deadlines in HostMachine)
+// because they are fundamentally clock-specific.
 
 #include <cstddef>
 #include <cstdint>

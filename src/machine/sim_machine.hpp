@@ -25,10 +25,7 @@
 #include <queue>
 #include <vector>
 
-#include "ft/fault.hpp"
-#include "ft/reliable.hpp"
 #include "machine/machine.hpp"
-#include "wire/agg.hpp"
 
 namespace cxm {
 
@@ -37,8 +34,6 @@ class SimMachine final : public Machine {
   explicit SimMachine(const MachineConfig& cfg);
   ~SimMachine() override;
 
-  std::uint32_t register_handler(Handler h) override;
-  [[nodiscard]] int num_pes() const noexcept override { return num_pes_; }
   [[nodiscard]] int current_pe() const noexcept override {
     return current_pe_;
   }
@@ -55,7 +50,6 @@ class SimMachine final : public Machine {
   void inject_hang(int pe) override;
   void declare_failed(int pe, cx::ft::FailureKind kind) override;
   void revive_pe(int pe) override;
-  [[nodiscard]] bool pe_failed(int pe) const noexcept override;
 
   /// Max virtual time reached across PEs (the simulated makespan).
   [[nodiscard]] double makespan() const;
@@ -82,10 +76,17 @@ class SimMachine final : public Machine {
   void push_timer(int pe, int dst, std::uint64_t seq, double at);
   void handle_timer(int pe, const Message& msg, double time);
   void check_scripted(double time);
-  void fail_pe(int pe, cx::ft::FailureKind kind, double time);
+  /// Notify-once for `pe`, stamped with virtual `time` on its own ring.
+  void fail_pe(int pe, cx::ft::FailureKind kind, double time) {
+    notify_failure_once(pe, kind, time, pe);
+  }
+  /// The calling PE's virtual clock (0 outside any PE).
+  [[nodiscard]] double caller_time() const noexcept {
+    return current_pe_ >= 0 ? clock_[static_cast<std::size_t>(current_pe_)]
+                            : 0.0;
+  }
 
   // ---- sender-side aggregation (--wire-agg) ------------------------------
-  [[nodiscard]] cx::wire::PeAggregator& agg(int pe);
   /// Deterministic flush: a DES timer event (kWireAggFlush) that seals
   /// `dst`'s open batch on `pe` unless the batch already closed (its
   /// generation moved past `gen`).
@@ -93,8 +94,6 @@ class SimMachine final : public Machine {
   /// Hand every sealed batch of `pe` to the transport (re-enters send()).
   void drain_agg(int pe);
 
-  int num_pes_;
-  std::vector<Handler> handlers_;
   std::vector<double> clock_;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap_;
   std::unique_ptr<NetworkModel> net_;
@@ -102,39 +101,23 @@ class SimMachine final : public Machine {
   std::uint64_t events_processed_ = 0;
   int current_pe_ = -1;
   bool stop_ = false;
-  bool running_ = false;
   /// Per-channel FIFO enforcement (CHARMX_SIM_FIFO): a message never
   /// arrives before an earlier message on the same (src, dst) channel,
-  /// matching the in-order delivery of real transport layers.
+  /// matching the in-order delivery of real transport layers. Forced on
+  /// by aggregation: batches and the bypass-flush rule need it.
   bool fifo_ = false;
   std::map<std::pair<int, int>, double> last_arrival_;
 
-  /// Sender-side aggregation (sampled from cx::wire::agg_enabled() at
-  /// construction). Forces fifo_ on: the ordering argument needs
-  /// in-order channels. Aggregators are created lazily per PE.
-  bool agg_on_ = false;
-  cx::wire::AggConfig agg_cfg_;
-  std::vector<std::unique_ptr<cx::wire::PeAggregator>> aggs_;
-
-  // ---- cx::ft state (all empty / untouched when ft_enabled_ is false) ----
-  cx::ft::FaultConfig ft_;
-  bool ft_enabled_ = false;
-  /// A PE failed at some point (config-independent: inject_kill works
-  /// without any --ft-* flags), so run() must check liveness per event.
-  bool any_failed_ = false;
-  std::unique_ptr<cx::ft::FaultInjector> inj_;
-  std::vector<cx::ft::SenderWindow> senders_;
-  std::vector<cx::ft::ReceiverWindow> receivers_;
-  std::vector<std::uint8_t> crashed_;
-  std::vector<std::uint8_t> hung_;
-  std::vector<std::uint8_t> unreachable_;
-  /// Merged, time-sorted fault script (legacy --ft-crash-pe/--ft-hang-pe
-  /// plus --ft-script). The cursor only moves forward: a fired event
-  /// never refires, so a revived PE is not instantly re-killed, yet
-  /// later script entries can hit the same PE again across revives.
+  // ---- cx::ft state (untouched when ft_enabled_ is false) ---------------
+  /// Per-PE reliable-delivery windows. Always sized: the failure paths
+  /// clear and abandon them even without any --ft-* config.
+  std::vector<FtWindows> windows_;
+  /// Time-sorted fault script (--ft-script). The cursor only moves
+  /// forward: a fired event never refires, so a revived PE is not
+  /// instantly re-killed, yet later script entries can hit the same PE
+  /// again across revives.
   std::vector<cx::ft::ScriptedFault> script_;
   std::size_t next_script_ = 0;
-  std::vector<std::uint8_t> failure_notified_;
   /// Messages that arrived at a hung PE (its mailbox fills; nothing
   /// drains). Discarded on revive — restore rebuilds state anyway.
   std::vector<std::vector<Message*>> parked_;

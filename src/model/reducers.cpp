@@ -124,7 +124,7 @@ struct DynRegistry {
   }
 };
 
-// Combiner ids travel in reduction fragments, so SocketMachine ranks
+// Combiner ids travel in reduction fragments, so cxrun ranks
 // must agree on them. Register the built-in folds' combiners eagerly —
 // in a fixed (alphabetical) order, at static init — instead of on first
 // use, where the order would depend on which rank's control flow asked

@@ -1,7 +1,7 @@
 #pragma once
 // cx::net on-socket frame format and connection handshake.
 //
-// SocketMachine reuses cx::wire envelopes verbatim: the frame is the
+// HostMachine ranks exchange cx::wire envelopes verbatim: the frame is the
 // Message's wire-relevant header fields plus its payload bytes, behind
 // a u32 length prefix —
 //

@@ -12,8 +12,9 @@
 // histograms).
 //
 // Timestamps come from the machine backend that records them: wall clock
-// on ThreadedMachine, virtual clock on SimMachine — so DES figure runs
-// are traceable with the same pipeline.
+// on the host engine (HostMachine: threaded and cxrun runs), virtual
+// clock on SimMachine — so DES figure runs are traceable with the same
+// pipeline.
 //
 // Usage (benches/examples):
 //

@@ -11,7 +11,7 @@
 // unpacks back into the normal delivery path.
 //
 // Batch wire format (native endianness, like every pup payload: since
-// the SocketMachine backend, batches DO cross process boundaries — the
+// the socket backend, batches DO cross process boundaries — the
 // connection handshake in src/net/frame.hpp rejects peers whose byte
 // order or primitive widths differ, so same-ABI is guaranteed by the
 // time a batch hits a socket):
@@ -21,7 +21,7 @@
 // Flush policy — a batch is sealed and transmitted when:
 //   * bytes   — appending would grow it past flush_bytes,
 //   * count   — it holds flush_count messages,
-//   * idle    — the owning scheduler runs out of work (ThreadedMachine)
+//   * idle    — the owning scheduler runs out of work (HostMachine)
 //               or the per-destination flush timer fires (SimMachine's
 //               deterministic DES equivalent),
 //   * ordering— a message that cannot join the open batch (different

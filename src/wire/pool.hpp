@@ -11,7 +11,7 @@
 // simply stops recycling; blocks allocated while the pool was on are
 // still freed correctly.
 //
-// Threading: each scheduler thread (one per PE on ThreadedMachine, the
+// Threading: each scheduler thread (one per PE on HostMachine, the
 // single DES thread on SimMachine, plus the driver thread) keeps
 // thread-local free lists, so the fast path takes no lock. Messages
 // routinely migrate threads — allocated on the sender's PE, freed on

@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ft/ft.hpp"
 #include "test_helpers.hpp"
 #include "trace/trace.hpp"
+#include "util/options.hpp"
 
 namespace {
 
@@ -170,10 +173,36 @@ TEST(FtFastPath, ReliableModeAcksCrossPeMessages) {
 
 // ---------------------------------------------------------------------------
 
+TEST(FtOptions, RetiredSingleEventFlagsAreRejected) {
+  // Options ignores unknown flags, so a retired flag must fail loudly
+  // rather than give a silently fault-free run.
+  for (const char* flag : {"--ft-crash-pe=2", "--ft-crash-at=5e-5",
+                           "--ft-hang-pe=1", "--ft-hang-at=1e-6"}) {
+    char prog[] = "prog";
+    std::string arg = flag;
+    char* argv[] = {prog, arg.data()};
+    const cxu::Options opt(2, argv);
+    try {
+      (void)cx::ft::fault_config_from_options(opt);
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--ft-script"), std::string::npos)
+          << e.what();
+    }
+  }
+  char prog[] = "prog";
+  char arg[] = "--ft-script=crash:2@5e-5";
+  char* argv[] = {prog, arg};
+  const auto cfg = cx::ft::fault_config_from_options(cxu::Options(2, argv));
+  ASSERT_EQ(cfg.script.size(), 1u);
+  EXPECT_EQ(cfg.script[0].pe, 2);
+  EXPECT_EQ(cfg.script[0].kind, cx::ft::FailureKind::Crashed);
+}
+
 TEST(FtFailure, ScriptedCrashSurfacesTypedFailure) {
   cx::RuntimeConfig cfg = sim_cfg(4);
-  cfg.machine.faults.crash_pe = 3;
-  cfg.machine.faults.crash_at = 1.0e-4;  // virtual seconds
+  constexpr double kCrashAt = 1.0e-4;  // virtual seconds
+  cfg.machine.faults.script = {{3, kCrashAt, cx::ft::FailureKind::Crashed}};
   run_program(cfg, [&] {
     std::vector<cx::ft::PeFailure> seen;
     cx::ft::on_failure(
@@ -191,15 +220,15 @@ TEST(FtFailure, ScriptedCrashSurfacesTypedFailure) {
     ASSERT_EQ(seen.size(), 1u);
     EXPECT_EQ(seen[0].pe, 3);
     EXPECT_EQ(seen[0].kind, cx::ft::FailureKind::Crashed);
-    EXPECT_GE(seen[0].time, cfg.machine.faults.crash_at);
+    EXPECT_GE(seen[0].time, kCrashAt);
     cx::exit();
   });
 }
 
 TEST(FtFailure, HungPeExhaustsRetriesAndIsReportedUnreachable) {
   cx::RuntimeConfig cfg = sim_cfg(2);
-  cfg.machine.faults.hang_pe = 1;
-  cfg.machine.faults.hang_at = 1.0e-6;  // stops draining almost at once
+  // PE 1 stops draining almost at once.
+  cfg.machine.faults.script = {{1, 1.0e-6, cx::ft::FailureKind::Hung}};
   cfg.machine.faults.reliable = true;
   cfg.machine.faults.retry.base_s = 1.0e-4;
   cfg.machine.faults.retry.max_attempts = 2;

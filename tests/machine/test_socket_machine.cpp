@@ -1,4 +1,4 @@
-// SocketMachine tier: the on-socket frame codec rejects hostile input
+// Socket-backend tier: the on-socket frame codec rejects hostile input
 // without allocating, the connection handshake refuses mismatched
 // peers, and real multi-process jobs (forked ranks wired up through an
 // in-test rendezvous root, exactly what cxrun does) produce results
@@ -458,6 +458,69 @@ TEST(SocketJob, RuntimeReductionMatchesThreaded) {
   int sum = 0;
   ASSERT_TRUE(read_exact(job.out[0], &sum, sizeof(sum)));
   EXPECT_EQ(sum, expected);
+  for (pid_t pid : job.pids) {
+    const ExitStatus st = wait_child(pid);
+    EXPECT_FALSE(st.signaled);
+    EXPECT_EQ(st.code, 0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Failure control frames: inject_kill / revive_pe on rank 0 must reach
+// rank 1 through the Kill / Revive frames. Rank 0 kills its own PE 1,
+// then pings PE 2 on rank 1 over the same connection (so the Kill frame
+// lands first); PE 2 records what rank 1 sees, rank 0 revives PE 1 and
+// pings again. Rank 1 reports {failed, listener calls} after each ping.
+
+TEST(SocketJob, KillAndReviveReachPeerRank) {
+  Job job = spawn_ranks(2, 2, [](int, int wfd) {
+    auto m = cxm::make_machine(cxm::MachineConfig{});
+    std::atomic<int> calls{0};
+    m->set_failure_listener([&](const cx::ft::PeFailure& f) {
+      if (f.pe == 1) calls.fetch_add(1);
+    });
+    std::vector<int> report;
+    std::uint32_t h = 0;
+    const auto step = [&](int s, int pe) {
+      auto msg = std::make_unique<cxm::Message>();
+      msg->handler = h;
+      msg->dst_pe = pe;
+      msg->data = pup::to_bytes(s);
+      m->send(std::move(msg));
+    };
+    h = m->register_handler([&](cxm::MessagePtr msg) {
+      switch (pup::from_bytes<int>(msg->data)) {
+        case 0:  // PE 0, rank 0
+          m->inject_kill(1);
+          step(1, 2);
+          break;
+        case 1:  // PE 2, rank 1: after the Kill frame
+          report.push_back(m->pe_failed(1) ? 1 : 0);
+          report.push_back(calls.load());
+          step(2, 0);
+          break;
+        case 2:  // PE 0, rank 0
+          m->revive_pe(1);
+          step(3, 2);
+          break;
+        case 3:  // PE 2, rank 1: after the Revive frame
+          report.push_back(m->pe_failed(1) ? 1 : 0);
+          report.push_back(calls.load());
+          write_exact(wfd, report.data(), report.size() * sizeof(int));
+          m->stop();
+          break;
+      }
+    });
+    if (m->hosts_pe(0)) step(0, 0);
+    m->run();
+  });
+
+  int report[4] = {-1, -1, -1, -1};
+  ASSERT_TRUE(read_exact(job.out[1], report, sizeof(report)));
+  EXPECT_EQ(report[0], 1) << "Kill frame did not mark PE 1 failed on rank 1";
+  EXPECT_EQ(report[1], 1) << "rank 1's listener did not fire exactly once";
+  EXPECT_EQ(report[2], 0) << "Revive frame did not clear PE 1 on rank 1";
+  EXPECT_EQ(report[3], 1) << "revive must not notify";
   for (pid_t pid : job.pids) {
     const ExitStatus st = wait_child(pid);
     EXPECT_FALSE(st.signaled);
